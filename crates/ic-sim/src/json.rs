@@ -6,6 +6,10 @@
 //! are parsed with a small recursive-descent parser. Numbers keep
 //! their raw text so `u64` seeds and `f64` timestamps both round-trip
 //! exactly through the shortest `Display` form Rust emits.
+//! `Scanner` reads a flat object in one pass without building the
+//! tree, for the trace reader's event lines.
+
+use std::borrow::Cow;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,35 +100,175 @@ pub fn json_string(s: &str) -> String {
 
 /// Parse a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser::new(text);
     p.skip_ws();
     let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing characters at byte {}", p.pos));
-    }
+    p.end()?;
     Ok(v)
 }
 
+/// A single-pass reader of one flat JSON object, for decoders that
+/// want a few fields without building a [`Json`] tree.
+///
+/// The caller walks the keys with [`Scanner::next_key`] and reads each
+/// value with one of the typed readers, which mirror the [`Json`]
+/// accessors: a value of another type is still parsed and checked,
+/// then reported as `None`. Keys and escape-free strings are borrowed
+/// from the input; numbers are checked once and converted in place.
+/// Every syntax error carries the same message, at the same byte, as
+/// [`parse`] gives for the same text.
+///
+/// The scanner's methods and the parser helpers they reach are
+/// `#[inline]`: the trace reader calls them once per field from
+/// another codegen unit, and the calls alone cost it ~20% of its time.
+pub(crate) struct Scanner<'a> {
+    p: Parser<'a>,
+    /// Whether a key was read since the opening brace.
+    started: bool,
+    /// Whether the closing brace has been read.
+    closed: bool,
+}
+
+impl<'a> Scanner<'a> {
+    /// A scanner over one complete document.
+    #[inline]
+    pub(crate) fn new(text: &'a str) -> Scanner<'a> {
+        Scanner {
+            p: Parser::new(text),
+            started: false,
+            closed: false,
+        }
+    }
+
+    /// Enter the top-level object. A document that is not an object
+    /// is parsed whole instead and yields `Ok(false)`.
+    #[inline]
+    pub(crate) fn begin_object(&mut self) -> Result<bool, String> {
+        self.p.skip_ws();
+        if self.p.peek() != Some(b'{') {
+            self.p.value()?;
+            self.closed = true;
+            return Ok(false);
+        }
+        self.p.pos += 1;
+        self.p.skip_ws();
+        if self.p.peek() == Some(b'}') {
+            self.p.pos += 1;
+            self.closed = true;
+        }
+        Ok(true)
+    }
+
+    /// The next key, positioned at its value, or `None` once the
+    /// object is closed. Each key's value must be read before the
+    /// next call.
+    #[inline]
+    pub(crate) fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        if self.closed {
+            return Ok(None);
+        }
+        if self.started {
+            self.p.skip_ws();
+            match self.p.peek() {
+                Some(b',') => self.p.pos += 1,
+                Some(b'}') => {
+                    self.p.pos += 1;
+                    self.closed = true;
+                    return Ok(None);
+                }
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.p.pos)),
+            }
+        }
+        self.started = true;
+        self.p.skip_ws();
+        let key = self.p.str_cow()?;
+        self.p.skip_ws();
+        self.p.expect(b':')?;
+        self.p.skip_ws();
+        Ok(Some(key))
+    }
+
+    /// The value as a string ([`Json::as_str`]).
+    #[inline]
+    pub(crate) fn str_value(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        match self.p.peek() {
+            Some(b'"') => self.p.str_cow().map(Some),
+            _ => self.skip_value().map(|()| None),
+        }
+    }
+
+    /// The value as `u64` ([`Json::as_u64`]): a number, or a numeric
+    /// string.
+    #[inline]
+    pub(crate) fn u64_value(&mut self) -> Result<Option<u64>, String> {
+        match self.p.peek() {
+            Some(b'"') => Ok(self.p.str_cow()?.parse().ok()),
+            Some(b'-' | b'0'..=b'9') => self.p.number_u64(),
+            _ => self.skip_value().map(|()| None),
+        }
+    }
+
+    /// The value as `f64` ([`Json::as_f64`]): numbers only.
+    #[inline]
+    pub(crate) fn f64_value(&mut self) -> Result<Option<f64>, String> {
+        match self.p.peek() {
+            Some(b'-' | b'0'..=b'9') => self.p.number_f64().map(Some),
+            _ => self.skip_value().map(|()| None),
+        }
+    }
+
+    /// Parse and check a value the caller does not want.
+    pub(crate) fn skip_value(&mut self) -> Result<(), String> {
+        self.p.value().map(drop)
+    }
+
+    /// Read to the end of the object, then reject trailing input.
+    pub(crate) fn finish(mut self) -> Result<(), String> {
+        while self.next_key()?.is_some() {
+            self.skip_value()?;
+        }
+        self.p.end()
+    }
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    #[inline]
+    fn new(text: &'a str) -> Parser<'a> {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
+    /// Skip trailing whitespace and demand the end of the input.
+    fn end(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(format!("trailing characters at byte {}", self.pos));
+        }
+        Ok(())
+    }
+
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
+    #[inline]
     fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
@@ -205,6 +349,26 @@ impl Parser<'_> {
                 _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
             }
         }
+    }
+
+    /// A string, borrowed from the input when it holds no escape;
+    /// anything else goes through [`Parser::string`].
+    #[inline]
+    fn str_cow(&mut self) -> Result<Cow<'a, str>, String> {
+        if self.peek() == Some(b'"') {
+            let body = self.pos + 1;
+            for (end, &b) in self.bytes.iter().enumerate().skip(body) {
+                match b {
+                    b'"' => {
+                        self.pos = end + 1;
+                        return Ok(Cow::Borrowed(&self.text[body..end]));
+                    }
+                    b'\\' => break,
+                    _ => {}
+                }
+            }
+        }
+        self.string().map(Cow::Owned)
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -294,7 +458,10 @@ impl Parser<'_> {
         Ok(cp)
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// Scan a number token: an optional `-`, then every byte that can
+    /// belong to a number. Returns its start and text.
+    #[inline]
+    fn number_token(&mut self) -> (usize, &'a str) {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -305,13 +472,48 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("invalid number at byte {start}"))?;
-        if raw.parse::<f64>().is_err() {
-            return Err(format!("invalid number '{raw}' at byte {start}"));
-        }
-        Ok(Json::Num(raw.to_string()))
+        // The token is ASCII, so both ends are char boundaries.
+        (start, &self.text[start..self.pos])
     }
+
+    /// A number, checked by parsing it as `f64`.
+    #[inline]
+    fn number_f64(&mut self) -> Result<f64, String> {
+        let (start, raw) = self.number_token();
+        checked_f64(start, raw)
+    }
+
+    /// A number as `u64`, `None` when it is valid JSON but no `u64`
+    /// (negative, fractional, exponent, overflow). Digits alone always
+    /// parse as `f64`, so a token of digits is converted as it is
+    /// scanned; any other token cannot be a `u64` and is only checked.
+    #[inline]
+    fn number_u64(&mut self) -> Result<Option<u64>, String> {
+        let start = self.pos;
+        let mut value = Some(0u64);
+        while let Some(d) = self.peek().filter(u8::is_ascii_digit) {
+            value = value.and_then(|v| v.checked_mul(10)?.checked_add(u64::from(d - b'0')));
+            self.pos += 1;
+        }
+        if self.pos > start && !matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
+            return Ok(value);
+        }
+        self.pos = start;
+        let (start, raw) = self.number_token();
+        checked_f64(start, raw).map(|_| None)
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        self.number_f64()?;
+        Ok(Json::Num(self.text[start..self.pos].to_string()))
+    }
+}
+
+/// The one number check: a token is valid when it parses as `f64`.
+fn checked_f64(start: usize, raw: &str) -> Result<f64, String> {
+    raw.parse()
+        .map_err(|_| format!("invalid number '{raw}' at byte {start}"))
 }
 
 #[cfg(test)]

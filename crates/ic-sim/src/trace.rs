@@ -12,6 +12,7 @@
 //! verify that the *run* — not just a static order — respected
 //! eligibility and tracked the optimal envelope.
 
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::fmt;
 use std::io::{self, Write as _};
@@ -777,7 +778,7 @@ impl<'t> TraceReader<'t> {
     /// non-blank line is missing, torn, or not a header.
     pub fn header(&mut self) -> Result<&TraceHeader, TraceParseError> {
         if self.header.is_none() {
-            match self.next_json()? {
+            match self.next_line(json::parse)? {
                 Some((lineno, v)) => {
                     let kind = v
                         .get("type")
@@ -810,18 +811,10 @@ impl<'t> TraceReader<'t> {
         if self.header.is_none() {
             self.header()?;
         }
-        let Some((lineno, v)) = self.next_json()? else {
+        let Some((lineno, fields)) = self.next_line(EventFields::scan)? else {
             return Ok(None);
         };
-        let kind = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| err(lineno, "missing \"type\" field"))?
-            .to_string();
-        if kind == "header" {
-            return Err(err(lineno, "duplicate header"));
-        }
-        parse_event(&kind, &v, lineno).map(Some)
+        fields.into_event(lineno).map(Some)
     }
 
     /// The torn final line, once the stream has ended on one.
@@ -835,22 +828,27 @@ impl<'t> TraceReader<'t> {
         self.consumed as u64
     }
 
-    /// The next non-blank line as parsed JSON; `None` at end of input
-    /// or on a torn tail (which is recorded, not returned). A line
-    /// that fails JSON parsing with further non-blank lines after it
-    /// is a hard error — only the final line can be torn.
-    fn next_json(&mut self) -> Result<Option<(usize, Json)>, TraceParseError> {
+    /// The next non-blank line, trimmed and run through `parse`; `None`
+    /// at end of input or on a torn tail (which is recorded, not
+    /// returned). A line that fails `parse` — a JSON syntax error —
+    /// with further non-blank lines after it is a hard error; only the
+    /// final line can be torn.
+    fn next_line<T>(
+        &mut self,
+        parse: impl FnOnce(&'t str) -> Result<T, String>,
+    ) -> Result<Option<(usize, T)>, TraceParseError> {
         if self.torn.is_some() {
             return Ok(None);
         }
+        let text = self.text;
         loop {
-            let rest = &self.text[self.pos..];
+            let rest = &text[self.pos..];
             if rest.is_empty() {
                 return Ok(None);
             }
             let (raw, line_end) = match rest.find('\n') {
                 Some(i) => (&rest[..i], self.pos + i + 1),
-                None => (rest, self.text.len()),
+                None => (rest, text.len()),
             };
             self.pos = line_end;
             self.lineno += 1;
@@ -859,13 +857,13 @@ impl<'t> TraceReader<'t> {
                 self.consumed = line_end;
                 continue;
             }
-            match json::parse(line) {
+            match parse(line) {
                 Ok(v) => {
                     self.consumed = line_end;
                     return Ok(Some((self.lineno, v)));
                 }
                 Err(e) => {
-                    let has_more = self.text[self.pos..].lines().any(|l| !l.trim().is_empty());
+                    let has_more = text[self.pos..].lines().any(|l| !l.trim().is_empty());
                     if has_more {
                         return Err(err(self.lineno, e));
                     }
@@ -989,75 +987,128 @@ fn parse_header(v: &Json, lineno: usize) -> Result<TraceHeader, TraceParseError>
     })
 }
 
-fn parse_event(kind: &str, v: &Json, lineno: usize) -> Result<TraceEvent, TraceParseError> {
-    let bad = |key: &str| err(lineno, format!("invalid \"{key}\" field"));
-    let step = field(v, "step", lineno)?
-        .as_u64()
-        .ok_or_else(|| bad("step"))?;
-    let time = field(v, "t", lineno)?.as_f64().ok_or_else(|| bad("t"))?;
-    let client = field(v, "client", lineno)?
-        .as_usize()
-        .ok_or_else(|| bad("client"))?;
-    if kind == "idle" {
-        return Ok(TraceEvent::Idle { step, time, client });
+/// The fields of one event line, gathered in a single pass over its
+/// bytes by [`json::Scanner`]. Each slot is `None` when the key is
+/// absent and `Some(None)` when its value has the wrong type; the first
+/// occurrence of a key wins, as in [`Json::get`].
+#[derive(Default)]
+struct EventFields<'a> {
+    kind: Option<Option<Cow<'a, str>>>,
+    step: Option<Option<u64>>,
+    time: Option<Option<f64>>,
+    client: Option<Option<u64>>,
+    task: Option<Option<u64>>,
+    pool: Option<Option<u64>>,
+}
+
+impl<'a> EventFields<'a> {
+    /// The syntax pass: any error is a JSON syntax error, so a torn
+    /// tail stays distinguishable from a malformed event.
+    fn scan(line: &'a str) -> Result<EventFields<'a>, String> {
+        let mut sc = json::Scanner::new(line);
+        let mut f = EventFields::default();
+        if sc.begin_object()? {
+            while let Some(key) = sc.next_key()? {
+                match &*key {
+                    "type" if f.kind.is_none() => f.kind = Some(sc.str_value()?),
+                    "step" if f.step.is_none() => f.step = Some(sc.u64_value()?),
+                    "t" if f.time.is_none() => f.time = Some(sc.f64_value()?),
+                    "client" if f.client.is_none() => f.client = Some(sc.u64_value()?),
+                    "task" if f.task.is_none() => f.task = Some(sc.u64_value()?),
+                    "pool" if f.pool.is_none() => f.pool = Some(sc.u64_value()?),
+                    _ => sc.skip_value()?,
+                }
+            }
+        }
+        sc.finish()?;
+        Ok(f)
     }
-    if !matches!(
-        kind,
-        "alloc" | "complete" | "fail" | "resume" | "spec" | "revoke"
-    ) {
-        return Err(err(lineno, format!("unknown event type \"{kind}\"")));
-    }
-    let task = NodeId(
-        field(v, "task", lineno)?
-            .as_u64()
-            .and_then(|u| u32::try_from(u).ok())
-            .ok_or_else(|| bad("task"))?,
-    );
-    let pool = match v.get("pool") {
-        Some(p) => Some(p.as_usize().ok_or_else(|| bad("pool"))?),
-        None => None,
-    };
-    match kind {
-        "alloc" => Ok(TraceEvent::Allocated {
-            step,
-            time,
-            client,
-            task,
-            pool,
-        }),
-        "complete" => Ok(TraceEvent::Completed {
-            step,
-            time,
-            client,
-            task,
-            pool,
-        }),
-        "resume" => Ok(TraceEvent::Resumed {
-            step,
-            time,
-            client,
-            task,
-        }),
-        "spec" => Ok(TraceEvent::Speculated {
-            step,
-            time,
-            client,
-            task,
-            pool,
-        }),
-        "revoke" => Ok(TraceEvent::Revoked {
-            step,
-            time,
-            client,
-            task,
-        }),
-        _ => Ok(TraceEvent::Failed {
-            step,
-            time,
-            client,
-            task,
-            pool,
-        }),
+
+    /// The semantic pass: the typed event, or the first missing or
+    /// invalid field in the order the fields are listed.
+    fn into_event(self, lineno: usize) -> Result<TraceEvent, TraceParseError> {
+        fn need<T>(
+            slot: Option<Option<T>>,
+            key: &str,
+            lineno: usize,
+        ) -> Result<T, TraceParseError> {
+            match slot {
+                None => Err(err(lineno, format!("missing \"{key}\" field"))),
+                Some(v) => v.ok_or_else(|| err(lineno, format!("invalid \"{key}\" field"))),
+            }
+        }
+        let bad = |key: &str| err(lineno, format!("invalid \"{key}\" field"));
+        let kind = self
+            .kind
+            .flatten()
+            .ok_or_else(|| err(lineno, "missing \"type\" field"))?;
+        if kind == "header" {
+            return Err(err(lineno, "duplicate header"));
+        }
+        let step = need(self.step, "step", lineno)?;
+        let time = need(self.time, "t", lineno)?;
+        let client =
+            usize::try_from(need(self.client, "client", lineno)?).map_err(|_| bad("client"))?;
+        if kind == "idle" {
+            return Ok(TraceEvent::Idle { step, time, client });
+        }
+        if !matches!(
+            &*kind,
+            "alloc" | "complete" | "fail" | "resume" | "spec" | "revoke"
+        ) {
+            return Err(err(lineno, format!("unknown event type \"{kind}\"")));
+        }
+        let task =
+            NodeId(u32::try_from(need(self.task, "task", lineno)?).map_err(|_| bad("task"))?);
+        let pool = match self.pool {
+            Some(p) => Some(
+                p.and_then(|p| usize::try_from(p).ok())
+                    .ok_or_else(|| bad("pool"))?,
+            ),
+            None => None,
+        };
+        match &*kind {
+            "alloc" => Ok(TraceEvent::Allocated {
+                step,
+                time,
+                client,
+                task,
+                pool,
+            }),
+            "complete" => Ok(TraceEvent::Completed {
+                step,
+                time,
+                client,
+                task,
+                pool,
+            }),
+            "resume" => Ok(TraceEvent::Resumed {
+                step,
+                time,
+                client,
+                task,
+            }),
+            "spec" => Ok(TraceEvent::Speculated {
+                step,
+                time,
+                client,
+                task,
+                pool,
+            }),
+            "revoke" => Ok(TraceEvent::Revoked {
+                step,
+                time,
+                client,
+                task,
+            }),
+            _ => Ok(TraceEvent::Failed {
+                step,
+                time,
+                client,
+                task,
+                pool,
+            }),
+        }
     }
 }
 

@@ -73,15 +73,18 @@ IC_FED_SHARDS=1,2 IC_BENCH_JSON="$PWD/target/verify/BENCH.json" IC_BENCH_APPEND=
 # resume) before reporting any number.
 IC_RECOVERY_TASKS=500 IC_BENCH_JSON="$PWD/target/verify/BENCH.json" IC_BENCH_APPEND=1 \
     timeout 120 cargo bench --offline -p ic-bench --bench recovery > /dev/null
-# Structural validation, plus a regression gate for the `net` group's
-# throughput records against the committed baseline: a fresh smoke run
-# whose allocations/sec fall more than 2x below BENCH.json fails (the
-# smoke only measures the 1000-worker fleet, so only that id is
-# compared; full-report regenerations also gate the 10k id, at the
-# stricter 1.2x the ISSUE demands, below).
+# Structural validation, plus regression gates against the committed
+# baseline: a fresh smoke run whose `net` allocations/sec fall more
+# than 2x below BENCH.json fails (the smoke only measures the
+# 1000-worker fleet, so only that id is compared; full-report
+# regenerations also gate the 10k id, at a stricter 1.2x, below), and
+# so does one whose WAL replay rate (`recovery/replay_501ev`,
+# events/sec) falls more than 2x — the single-pass event decoder's
+# gain is larger than that, so losing it fails here.
 ./target/release/bench-check target/verify/BENCH.json \
     envelope envelope-naive exec-state check machine net fed recovery \
-    --baseline BENCH.json --max-regress net=2.0
+    --baseline BENCH.json --max-regress net=2.0 \
+    --max-regress recovery/replay_501ev=2.0
 # When the committed BENCH.json itself changed, gate its net group
 # against the last committed version: a regeneration that loses more
 # than 20% of allocations/sec on any shared net record is rejected.
@@ -91,6 +94,13 @@ if ! git diff --quiet HEAD -- BENCH.json 2> /dev/null; then
         envelope envelope-naive exec-state check machine net fed recovery \
         --baseline target/verify/BENCH.baseline.json --max-regress net=1.2
 fi
+
+echo "==> perfbench smoke (every serving workload at tiny size, traced and untraced)"
+# The serving benchmark is its own cargo workspace, so the workspace
+# test run above does not reach it. Its smoke test runs all four
+# workloads, including the wal_recover checks that recovery loses no
+# completed work and that the recovered trace audits clean.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> differential oracle (indexed machine vs reference, byte-identical effects)"
 IC_DIFF_CASES=96 cargo test --release --offline -q -p ic-check --test differential
